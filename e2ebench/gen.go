@@ -20,6 +20,7 @@ const (
 	opPrepare               // POST /v2/prepare (zero ε)
 	opQuery                 // POST /v2/query
 	opAppend                // PATCH /v1/datasets/{name}
+	opDelete                // DELETE /v1/datasets/{name}
 )
 
 // Op classes: the latency bucket a timed op is recorded in.
@@ -73,8 +74,8 @@ type op struct {
 	rewarm int
 	settle bool
 	// scaffold marks untimed work inside the timed phase (replacing a
-	// dataset with a new one, uploading more datasets): its wall time,
-	// server CPU and counters are excluded from every metric.
+	// dataset with a new one, uploading more datasets, deleting used ones):
+	// its wall time, server CPU and counters are excluded from every metric.
 	scaffold bool
 }
 
@@ -271,6 +272,12 @@ func prepareOp(q queryBody) op {
 	return op{kind: opPrepare, dataset: q.Dataset, q: q}
 }
 
+// deleteOp deletes a dataset whose ops are done, so the server's state does
+// not grow with the length of a run.
+func deleteOp(name string) op {
+	return op{kind: opDelete, dataset: name, scaffold: true}
+}
+
 // graphUpload uploads a snapshot of g: a cycle's ops are all generated
 // before the first of them runs, so later ops may still grow g.
 func graphUpload(name string, g *graphData) op {
@@ -294,13 +301,15 @@ func graphKinds(ds string) []queryBody {
 	}
 }
 
-// graphAppend adds k random edges to g (in place) and returns the append
-// op followed by one settled after-append query per prepared workload.
-func graphAppend(rng *rand.Rand, ds string, g *graphData, k int, prepared []queryBody) []op {
+// graphAppend adds k triadic-closure edges to g (in place) and returns the
+// append op, which makes the server advance the dataset's cached plans in
+// the background, followed by one settled after-append query per workload
+// in after.
+func graphAppend(rng *rand.Rand, ds string, g *graphData, k, cached int, after []queryBody) []op {
 	added := g.addClosing(rng, k)
 	ops := []op{{kind: opAppend, class: classAppend, dataset: ds, graph: g.clone(), added: added,
-		ap: appendBody{Edges: edgeList(0, added, false)}, rewarm: len(prepared)}}
-	for i, q := range prepared {
+		ap: appendBody{Edges: edgeList(0, added, false)}, rewarm: cached}}
+	for i, q := range after {
 		o := queryOp(classAfterAppend, q)
 		o.settle = i == 0
 		ops = append(ops, o)
@@ -330,7 +339,7 @@ const (
 	sqlFriends     = 4  // per person: 60 friendships
 	sqlPairs       = 6  // hit/replay pairs per round
 	sqlAppendEvery = 12 // rounds of fresh queries and pairs between appends
-	sqlResetEvery  = 4  // appends before the table is replaced by a new one
+	sqlResetEvery  = 1  // appends before the table is replaced by a new one
 )
 
 // sqlShapes are the three query shapes; %s is the varying constant.
@@ -424,7 +433,8 @@ func scaffold(ops []op) []op {
 
 // graphFresh: many distinct 150-node graphs, each compiled from scratch by
 // its first query of each of the three workloads. Hits and replays follow
-// on the freshly compiled plans, and every second graph takes an append.
+// on the freshly compiled plans, then each graph takes an append, every
+// second one followed by a query on each workload, and is deleted.
 type graphFresh struct {
 	rng      *rand.Rand
 	graphs   []*graphData
@@ -437,7 +447,7 @@ const (
 	freshNodes       = 150
 	freshEdges       = 600 // average degree 8
 	freshPairs       = 16  // hit/replay pairs per graph
-	freshAppendEvery = 2   // graphs between appends
+	freshAppendEvery = 2   // graphs per append followed by queries
 	freshAppendEdges = 3
 	freshUploadBatch = 16
 )
@@ -460,9 +470,10 @@ func (w *graphFresh) upload(k int) []op {
 
 func (w *graphFresh) setup() []op { return w.upload(freshUploadBatch) }
 
-// cycle is one append period: freshAppendEvery new graphs, each compiled by
-// its first query of every workload and then hit and replayed; the last one
-// then takes an append and a query on each of its workloads.
+// cycle is freshAppendEvery new graphs, each compiled by its first query of
+// every workload, hit and replayed, and then appended to; the last one then
+// takes a query on each of its workloads. Each graph is deleted after its
+// last op, once the server has advanced its plans.
 func (w *graphFresh) cycle() []op {
 	var ops []op
 	for j := 0; j < freshAppendEvery; j++ {
@@ -479,15 +490,21 @@ func (w *graphFresh) cycle() []op {
 			ops = append(ops, hitReplay(kinds[w.hits%len(kinds)], w.hits)...)
 			w.hits++
 		}
+		var after []queryBody
 		if j == freshAppendEvery-1 {
-			ops = append(ops, graphAppend(w.rng, freshName(i), w.graphs[i], freshAppendEdges, kinds)...)
+			after = kinds
 		}
+		ops = append(ops, graphAppend(w.rng, freshName(i), w.graphs[i], freshAppendEdges, len(kinds), after)...)
+		del := deleteOp(freshName(i))
+		del.settle = true
+		ops = append(ops, del)
+		w.graphs[i] = nil
 	}
 	return ops
 }
 
 func (w *graphFresh) sizes() string {
-	return fmt.Sprintf("nodes=%d edges=%d graphs_per_upload=%d kinds=3 pairs_per_graph=%d append_every=%d append_edges=%d",
+	return fmt.Sprintf("nodes=%d edges=%d graphs_per_upload=%d kinds=3 pairs_per_graph=%d queried_append_every=%d append_edges=%d",
 		freshNodes, freshEdges, freshUploadBatch, freshPairs, freshAppendEvery, freshAppendEdges)
 }
 
@@ -495,8 +512,9 @@ func (w *graphFresh) sizes() string {
 
 // graphChurn: one 150-node graph at a time with the three workloads
 // prepared at zero ε. A fixed schedule alternates fresh-ε plan hits with
-// identical replays; every cycle ends with a few-edge append, one settled
-// query per prepared workload, and first queries on small side graphs.
+// identical replays; every cycle ends with two few-edge appends, one settled
+// query per prepared workload, and first queries on small side graphs,
+// each deleted after its query.
 type graphChurn struct {
 	rng      *rand.Rand
 	cur      *graphData
@@ -504,7 +522,7 @@ type graphChurn struct {
 	sides    int // side graphs uploaded
 	side     int // side graphs queried
 	hits     int
-	appends  int
+	cycles   int
 }
 
 const (
@@ -512,7 +530,13 @@ const (
 	churnEdges       = 600
 	churnPairs       = 150 // hit/replay pairs per cycle
 	churnAppendEdges = 3
-	churnResetEvery  = 4 // appends before the graph is replaced by a new one
+	// churnAppends is appends per cycle. A PATCH races the background
+	// re-warm it starts, so single appends take 1–7 ms and append_p50_ms
+	// needs more samples than the after-append queries, which cost ~160 ms
+	// each, leave room for; the appends before the last one are followed
+	// by the next append rather than by queries.
+	churnAppends     = 2
+	churnResetEvery  = 2 // cycles before the graph is replaced by a new one
 	sideNodes        = 60
 	sideEdges        = 180 // average degree 6
 	sideBatch        = 32
@@ -547,32 +571,43 @@ func (w *graphChurn) uploadSides() []op {
 
 func (w *graphChurn) setup() []op { return append(w.reset(), w.uploadSides()...) }
 
-// cycle is one append period: hit/replay pairs on the prepared workloads,
-// an append with a query on each, and first queries on new side graphs.
+// cycle is hit/replay pairs on the prepared workloads, churnAppends
+// appends with a query on each workload after the last, and first queries
+// on new side graphs.
 func (w *graphChurn) cycle() []op {
 	var ops []op
 	for p := 0; p < churnPairs; p++ {
 		ops = append(ops, hitReplay(w.prepared[w.hits%len(w.prepared)], w.hits)...)
 		w.hits++
 	}
-	if w.appends > 0 && w.appends%churnResetEvery == 0 {
+	if w.cycles > 0 && w.cycles%churnResetEvery == 0 {
 		ops = append(ops, scaffold(w.reset())...)
 	}
-	w.appends++
-	ops = append(ops, graphAppend(w.rng, "churn", w.cur, churnAppendEdges, w.prepared)...)
+	w.cycles++
+	for i := 0; i < churnAppends; i++ {
+		var after []queryBody
+		if i == churnAppends-1 {
+			after = w.prepared
+		}
+		ap := graphAppend(w.rng, "churn", w.cur, churnAppendEdges, len(w.prepared), after)
+		// Each append finds the server idle, as the first one does.
+		ap[0].settle = i > 0
+		ops = append(ops, ap...)
+	}
 	for i := 0; i < churnSideQueries; i++ {
 		if w.side == w.sides {
 			ops = append(ops, scaffold(w.uploadSides())...)
 		}
-		ops = append(ops, queryOp(classFresh, queryBody{Dataset: sideName(w.side), Kind: "triangles", Mode: "exact", Epsilon: freshEps}))
+		ops = append(ops, queryOp(classFresh, queryBody{Dataset: sideName(w.side), Kind: "triangles", Mode: "exact", Epsilon: freshEps}),
+			deleteOp(sideName(w.side)))
 		w.side++
 	}
 	return ops
 }
 
 func (w *graphChurn) sizes() string {
-	return fmt.Sprintf("nodes=%d edges=%d kinds=3 pairs_per_cycle=%d append_edges=%d reset_every=%d side_nodes=%d side_edges=%d",
-		churnNodes, churnEdges, churnPairs, churnAppendEdges, churnResetEvery, sideNodes, sideEdges)
+	return fmt.Sprintf("nodes=%d edges=%d kinds=3 pairs_per_cycle=%d appends_per_cycle=%d append_edges=%d reset_every=%d side_nodes=%d side_edges=%d",
+		churnNodes, churnEdges, churnPairs, churnAppends, churnAppendEdges, churnResetEvery, sideNodes, sideEdges)
 }
 
 // sortedNames returns m's keys in order.

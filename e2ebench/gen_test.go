@@ -47,7 +47,7 @@ func TestSeedGivesIdenticalInputs(t *testing.T) {
 func TestHoldOutSeedRunsClean(t *testing.T) {
 	for _, w := range workloadNames {
 		t.Run(w, func(t *testing.T) {
-			c := config{workload: w, cfg: workloads[w], seed: 2, work: t.TempDir()}
+			c := config{workload: w, durable: durable[w], seed: 2, work: t.TempDir()}
 			tx, err := newTracedExec(c)
 			if err != nil {
 				t.Fatal(err)

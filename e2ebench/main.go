@@ -24,26 +24,57 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
 )
 
-// workloadConfig is how one workload runs its server and its warm-up.
-type workloadConfig struct {
-	durable   bool // -data-dir in a scratch directory, else in memory
-	planCache int  // -plan-cache (0: the server default)
+// durable tells, for each workload, whether its server keeps its data in a
+// -data-dir in a scratch directory; the others run in memory. Every server
+// otherwise runs with recmechd's default settings.
+var durable = map[string]bool{
+	"sql-join":    true,
+	"graph-fresh": false,
+	"graph-churn": false,
 }
 
-var workloads = map[string]workloadConfig{
-	"sql-join":    {durable: true},
-	"graph-fresh": {planCache: 48},
-	"graph-churn": {},
+const (
+	// setups is how many times set-up runs per invocation; setup_s is
+	// their median and the last one's server runs the timed phase.
+	setups = 5
+	// nSlices is how many consecutive parts the timed phase is cut into.
+	nSlices = 6
+	// maxSteal is the share of the machine's CPU time the hypervisor may
+	// take in a slice (steal) for the slice to count as quiet.
+	maxSteal = 0.02
+)
+
+// quietSlices returns the slices the end-to-end metrics are taken from:
+// those in which the hypervisor took at most maxSteal of the machine's CPU
+// time, or, when fewer than half of them are that quiet, the least-stolen
+// half. On a shared host, other machines' load comes in phases that slow
+// every figure of a run by up to half; this keeps those phases out of the
+// figures wherever a run also had quiet time.
+func quietSlices(all []*slice) []*slice {
+	s := append([]*slice(nil), all...)
+	sort.SliceStable(s, func(i, j int) bool { return s[i].steal < s[j].steal })
+	keep := (len(s) + 1) / 2
+	for keep < len(s) && s[keep].steal <= maxSteal {
+		keep++
+	}
+	return s[:keep]
 }
 
-// setups is how many times set-up runs per invocation; setup_s is their
-// median and the last one's server runs the timed phase.
-const setups = 5
+// setupSeed is the input seed of set-up i. The last set-up's server runs
+// the timed phase on the run's own seed; each earlier one gets inputs of
+// its own, so setup_s covers several datasets rather than one.
+func setupSeed(seed int64, i int) int64 {
+	if i == setups-1 {
+		return seed
+	}
+	return seed + int64(i+1)*1_000_003
+}
 
 type metric struct {
 	Value float64 `json:"value"`
@@ -59,7 +90,8 @@ type result struct {
 
 type config struct {
 	workload string
-	cfg      workloadConfig
+	durable  bool
+	trace    bool // per-layer run: the server also reports every GC cycle
 	seed     int64
 	seconds  time.Duration
 	recmechd string
@@ -81,12 +113,12 @@ func main() {
 	flag.StringVar(&c.work, "work", "", "scratch directory (created, then removed)")
 	flag.StringVar(&commit, "commit", "unknown", "source revision, for the provenance line")
 	flag.Parse()
-	cfg, ok := workloads[c.workload]
+	isDurable, ok := durable[c.workload]
 	if !ok || c.recmechd == "" || c.work == "" || seconds <= 0 || (trace != 0 && trace != 1) {
 		fmt.Fprintln(os.Stderr, "e2ebench: need -workload sql-join|graph-fresh|graph-churn, -recmechd, -work, -seconds > 0, -trace 0|1")
 		os.Exit(2)
 	}
-	c.cfg = cfg
+	c.durable, c.trace = isDurable, trace == 1
 	c.seconds = time.Duration(seconds * float64(time.Second))
 	c.work = filepath.Join(c.work, fmt.Sprintf("%s-%d-%d", c.workload, c.seed, os.Getpid()))
 	if err := os.MkdirAll(c.work, 0o755); err != nil {
@@ -142,21 +174,18 @@ func fatal(err error) {
 
 // startWorkloadServer starts recmechd configured for the workload; dir holds
 // a durable workload's data directory.
-func startWorkloadServer(c config, dir string) (*server, error) {
+func startWorkloadServer(c config, dir string, seed int64) (*server, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	args := []string{"-budget", "1e9", "-seed", strconv.FormatInt(c.seed, 10)}
-	if c.cfg.durable {
+	args := []string{"-budget", "1e9", "-seed", strconv.FormatInt(seed, 10)}
+	if c.durable {
 		args = append(args, "-data-dir", filepath.Join(dir, "data"))
 	} else {
 		// An in-memory recmechd refuses to start without a dataset.
 		args = append(args, "-demo")
 	}
-	if c.cfg.planCache > 0 {
-		args = append(args, "-plan-cache", strconv.Itoa(c.cfg.planCache))
-	}
-	return startServer(c.recmechd, args)
+	return startServer(c.recmechd, args, c.trace)
 }
 
 // httpRun is one set-up plus, when d > 0, a timed phase over HTTP.
@@ -169,12 +198,14 @@ type httpRun struct {
 	srvProcs int
 }
 
-func runHTTP(c config, idx int, d time.Duration) (*httpRun, error) {
-	dir := filepath.Join(c.work, fmt.Sprintf("server%d", idx))
+// runHTTP sets up a server on the inputs of seed and, when d > 0, runs a
+// timed phase of d in n slices.
+func runHTTP(c config, seed int64, d time.Duration, n int) (*httpRun, error) {
+	dir := filepath.Join(c.work, fmt.Sprintf("server-%d", seed))
 	defer os.RemoveAll(dir)
-	g, _ := newGen(c.workload, c.seed)
+	g, _ := newGen(c.workload, seed)
 	t0 := time.Now()
-	srv, err := startWorkloadServer(c, dir)
+	srv, err := startWorkloadServer(c, dir, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +221,7 @@ func runHTTP(c config, idx int, d time.Duration) (*httpRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	run.elapsed = run.r.runFor(d)
+	run.elapsed = run.r.runFor(d, n)
 	after, err := ex.counters()
 	if err != nil {
 		return nil, err
@@ -220,7 +251,7 @@ func endToEnd(c config) (*result, error) {
 			d = c.seconds
 		}
 		var err error
-		if run, err = runHTTP(c, i, d); err != nil {
+		if run, err = runHTTP(c, setupSeed(c.seed, i), d, nSlices); err != nil {
 			return nil, err
 		}
 		if run.r.checkErr != nil {
@@ -231,6 +262,13 @@ func endToEnd(c config) (*result, error) {
 	r := run.r
 	fmt.Printf("# server gomaxprocs=%d\n", run.srvProcs)
 	printClasses(r)
+	for i, s := range r.slices {
+		for _, cl := range []string{classFresh, classHit, classReplay} {
+			if len(s.lat[cl]) == 0 {
+				r.fail("samples", "no %s op completed in slice %d of the timed phase", cl, i)
+			}
+		}
+	}
 	for _, cl := range classes {
 		if len(r.lat[cl]) == 0 {
 			r.fail("samples", "no %s op completed in the timed phase", cl)
@@ -241,19 +279,50 @@ func endToEnd(c config) (*result, error) {
 		fmt.Fprintln(os.Stderr, "e2ebench:", r.checkErr)
 		return res, nil
 	}
-	ops := float64(r.ops)
 	m := res.Metrics
+	quiet := quietSlices(r.slices)
+	// perSlice is the median over the quiet slices of f.
+	perSlice := func(f func(s *slice) float64) float64 {
+		var xs []float64
+		for _, s := range quiet {
+			xs = append(xs, f(s))
+		}
+		return median(xs)
+	}
+	// Fresh queries, hits and replays are many in every slice; appends and
+	// after-append queries are a few per slice, too few for a slice's own
+	// median, so theirs is taken over the quiet slices together.
+	latency := func(class string, q float64) float64 {
+		if class == classAppend || class == classAfterAppend {
+			var xs []float64
+			for _, s := range quiet {
+				xs = append(xs, s.lat[class]...)
+			}
+			return quantile(xs, q)
+		}
+		return perSlice(func(s *slice) float64 { return quantile(s.lat[class], q) })
+	}
+	fmt.Printf("# slices (* quiet)")
+	for _, s := range r.slices {
+		mark := ""
+		if slices.Contains(quiet, s) {
+			mark = "*"
+		}
+		fmt.Printf(" [%s%d ops in %.3fs, steal %.1f%%, fresh_p50 %.4g ms]", mark, s.ops, s.elapsed.Seconds(),
+			100*s.steal, quantile(s.lat[classFresh], 0.5))
+	}
+	fmt.Println()
 	m["setup_s"] = metric{median(setupS), "s"}
-	m["ops_per_s"] = metric{ops / run.elapsed.Seconds(), "1/s"}
-	m["fresh_p50_ms"] = metric{quantile(r.lat[classFresh], 0.5), "ms"}
-	m["fresh_p90_ms"] = metric{quantile(r.lat[classFresh], 0.9), "ms"}
-	m["hit_p50_ms"] = metric{quantile(r.lat[classHit], 0.5), "ms"}
-	m["replay_p50_ms"] = metric{quantile(r.lat[classReplay], 0.5), "ms"}
-	m["append_p50_ms"] = metric{quantile(r.lat[classAppend], 0.5), "ms"}
-	m["after_append_p50_ms"] = metric{quantile(r.lat[classAfterAppend], 0.5), "ms"}
-	m["server_cpu_ms_per_op"] = metric{run.counters["cpu_ms"] / ops, "ms"}
+	m["ops_per_s"] = metric{perSlice(func(s *slice) float64 { return float64(s.ops) / s.elapsed.Seconds() }), "1/s"}
+	m["fresh_p50_ms"] = metric{latency(classFresh, 0.5), "ms"}
+	m["fresh_p90_ms"] = metric{latency(classFresh, 0.9), "ms"}
+	m["hit_p50_ms"] = metric{latency(classHit, 0.5), "ms"}
+	m["replay_p50_ms"] = metric{latency(classReplay, 0.5), "ms"}
+	m["append_p50_ms"] = metric{latency(classAppend, 0.5), "ms"}
+	m["after_append_p50_ms"] = metric{latency(classAfterAppend, 0.5), "ms"}
+	m["server_cpu_ms_per_op"] = metric{perSlice(func(s *slice) float64 { return s.cpuMs / float64(s.ops) }), "ms"}
 	m["server_rss_mb"] = metric{run.rssMiB, "MiB"}
-	m["eps_per_op"] = metric{r.eps / ops, "eps"}
+	m["eps_per_op"] = metric{r.eps / float64(r.ops), "eps"}
 	// The hit tail is printed but not in the result: on a durable server
 	// it follows the host's fsync latency, which swings between identical
 	// runs by more than any bound the result allows.

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"os"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -35,6 +38,8 @@ type runner struct {
 	ops    int                  // timed ops attempted
 	failed int                  // timed ops that failed
 	eps    float64              // ε charged by timed ops
+	slices []*slice             // the timed phase's consecutive parts
+	cur    *slice               // the part running now
 
 	spentBy  map[string]float64 // ε charged per dataset by uncached answers, every phase
 	datasets map[string]bool    // datasets uploaded
@@ -45,6 +50,17 @@ type runner struct {
 	paused   time.Duration      // untimed waits inside the timed phase
 	excluded map[string]float64 // counters consumed by scaffold ops
 	checkErr error              // the first failed output check
+}
+
+// slice is one of the timed phase's consecutive parts, each ending on a
+// cycle boundary. The end-to-end metrics are taken over the slices in which
+// the hypervisor took little CPU time from the machine (see quietSlices).
+type slice struct {
+	elapsed time.Duration        // timed-phase time, untimed waits excluded
+	ops     int                  // timed ops attempted
+	lat     map[string][]float64 // latencies in ms, by class
+	cpuMs   float64              // server CPU, scaffold ops excluded
+	steal   float64              // share of the machine's CPU time the hypervisor took
 }
 
 func newRunner(ex executor, g *gen) *runner {
@@ -88,20 +104,87 @@ func (r *runner) setup() {
 	}
 }
 
-// runFor runs the stream for d of timed-phase time, then on to the end of
-// the workload's current cycle so every run covers whole cycles, and
-// returns the timed phase's length (wall time minus untimed waits).
-func (r *runner) runFor(d time.Duration) time.Duration {
+// runFor runs the stream for at least d of timed-phase time in n slices of
+// at least d/n each, every slice running on to the end of the workload's
+// current cycle so that it covers whole cycles, and returns the timed
+// phase's length (wall time minus untimed waits).
+func (r *runner) runFor(d time.Duration, n int) time.Duration {
 	r.timed = true
 	r.paused = 0
 	start := time.Now()
-	for (time.Since(start)-r.paused < d || len(r.g.queue) > 0) && r.checkErr == nil {
-		r.step(r.g.next())
+	timedSince := func() time.Duration { return time.Since(start) - r.paused }
+	for range n {
+		if r.checkErr != nil {
+			break
+		}
+		s := &slice{lat: map[string][]float64{}}
+		r.cur = s
+		cpu0 := r.serverCPU()
+		total0, steal0 := hostCPU()
+		t0 := timedSince()
+		end := t0 + d/time.Duration(n)
+		for (timedSince() < end || len(r.g.queue) > 0) && r.checkErr == nil {
+			r.step(r.g.next())
+		}
+		s.elapsed = timedSince() - t0
+		total1, steal1 := hostCPU()
+		s.cpuMs = r.serverCPU() - cpu0
+		if total1 > total0 {
+			s.steal = (steal1 - steal0) / (total1 - total0)
+		}
+		r.slices = append(r.slices, s)
 	}
-	return time.Since(start) - r.paused
+	r.cur = nil
+	return timedSince()
+}
+
+// serverCPU is the server's CPU time so far minus what scaffold ops used;
+// reading it is an untimed wait.
+func (r *runner) serverCPU() float64 {
+	t := time.Now()
+	defer func() { r.paused += time.Since(t) }()
+	c, err := r.ex.counters()
+	if err != nil {
+		r.fail("counters", "%v", err)
+		return 0
+	}
+	return c["cpu_ms"] - r.excluded["cpu_ms"]
+}
+
+// hostCPU returns the CPU time all of the machine's CPUs have accounted so
+// far and the part of it the hypervisor gave to other machines while this
+// one had work to run (steal), in ticks, from the first line of /proc/stat;
+// zeros where there is no such line.
+func hostCPU() (total, steal float64) {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, 0
+	}
+	line, _, _ := bytes.Cut(b, []byte("\n"))
+	f := strings.Fields(string(line))
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0, 0
+	}
+	// user nice system idle iowait irq softirq steal
+	for i := 1; i <= 8; i++ {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return 0, 0
+		}
+		total += v
+		if i == 8 {
+			steal = v
+		}
+	}
+	return total, steal
 }
 
 func (r *runner) step(o op) {
+	if o.settle {
+		t := time.Now()
+		r.settle()
+		r.paused += time.Since(t)
+	}
 	if o.scaffold && r.timed {
 		t := time.Now()
 		before, err := r.ex.counters()
@@ -121,13 +204,13 @@ func (r *runner) step(o op) {
 		r.paused += time.Since(t)
 		return
 	}
-	if o.settle {
-		t := time.Now()
-		r.settle()
-		r.paused += time.Since(t)
-	}
 	r.exec(&o)
 }
+
+// settleEvery is how often settle polls /v1/stats. The wait is untimed, but
+// the server CPU that answering a poll costs lands in the timed phase, so
+// polls are spaced well apart.
+const settleEvery = 15 * time.Millisecond
 
 // settle waits until every background advance the appends so far started
 // has finished.
@@ -146,7 +229,7 @@ func (r *runner) settle() {
 			r.fail("settle", "re-warm did not settle: %g of %g advances after 60s", done, r.wantDone)
 			return
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(settleEvery)
 	}
 }
 
@@ -167,6 +250,9 @@ func (r *runner) exec(o *op) {
 	ms := float64(time.Since(t0)) / float64(time.Millisecond)
 	if timed {
 		r.ops++
+		if r.cur != nil {
+			r.cur.ops++
+		}
 	}
 	if err != nil || status/100 != 2 {
 		if timed {
@@ -177,6 +263,9 @@ func (r *runner) exec(o *op) {
 	}
 	if timed {
 		r.lat[o.class] = append(r.lat[o.class], ms)
+		if r.cur != nil {
+			r.cur.lat[o.class] = append(r.cur.lat[o.class], ms)
+		}
 	}
 	switch o.kind {
 	case opUpload, opAppend:
@@ -249,6 +338,8 @@ func (h httpExec) send(o *op, body []byte) (int, []byte, error) {
 		return h.s.send(http.MethodPost, "/v2/prepare", body)
 	case opAppend:
 		return h.s.send(http.MethodPatch, "/v1/datasets/"+o.dataset, body)
+	case opDelete:
+		return h.s.send(http.MethodDelete, "/v1/datasets/"+o.dataset, nil)
 	default:
 		return h.s.send(http.MethodPost, "/v2/query", body)
 	}
@@ -320,6 +411,11 @@ func (h httpExec) counters() (map[string]float64, error) {
 		return nil, err
 	}
 	m := d.flat()
+	if h.s.gc != nil {
+		// Read after the stats round trip, which let the reader of the
+		// server's standard error catch up.
+		m["runtime.gc_cycles"] = float64(h.s.gc.cycles.Load())
+	}
 	if m["cpu_ms"], err = h.s.cpuMillis(); err != nil {
 		return nil, err
 	}

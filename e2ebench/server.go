@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -24,13 +25,47 @@ type server struct {
 	base   string
 	client *http.Client
 	tr     *http.Transport
+	gc     *gcCounter // nil unless started with gcTrace
+}
+
+// gcCounter reads the server's GODEBUG=gctrace=1 output, one "gc N @..."
+// line per finished collection, and keeps the last N: an exact count of GC
+// cycles, which /v1/stats only reports from a snapshot up to a second old.
+// Every other line on the server's standard error is dropped.
+type gcCounter struct {
+	cycles atomic.Uint64
+	line   []byte // an unfinished line
+}
+
+func (g *gcCounter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		i := bytes.IndexByte(p, '\n')
+		if i < 0 {
+			g.line = append(g.line, p...)
+			break
+		}
+		line := append(g.line, p[:i]...)
+		if rest, ok := bytes.CutPrefix(line, []byte("gc ")); ok {
+			if f := bytes.Fields(rest); len(f) > 0 {
+				if c, err := strconv.ParseUint(string(f[0]), 10, 64); err == nil {
+					g.cycles.Store(c)
+				}
+			}
+		}
+		g.line = line[:0]
+		p = p[i+1:]
+	}
+	return n, nil
 }
 
 // startServer launches bin with args on a free loopback port and returns
 // once /healthz answers. The access log goes to /dev/null: written to a
 // file it would share the filesystem journal with a durable server's WAL
-// fsyncs, and add the host's I/O noise to every measurement.
-func startServer(bin string, args []string) (*server, error) {
+// fsyncs, and add the host's I/O noise to every measurement. With gcTrace
+// the server's standard error, the access log included, goes to a
+// gcCounter instead.
+func startServer(bin string, args []string, gcTrace bool) (*server, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("pick a port: %w", err)
@@ -40,12 +75,18 @@ func startServer(bin string, args []string) (*server, error) {
 	cmd := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
 	// The server must not outlive the benchmark, whatever ends it.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
+	var gc *gcCounter
+	if gcTrace {
+		gc = &gcCounter{}
+		cmd.Env = append(os.Environ(), "GODEBUG=gctrace=1")
+		cmd.Stderr = gc
+	}
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("start %s: %w", bin, err)
 	}
 	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1, DisableCompression: true}
 	s := &server{cmd: cmd, done: make(chan struct{}), base: "http://" + addr,
-		tr: tr, client: &http.Client{Transport: tr, Timeout: 60 * time.Second}}
+		tr: tr, client: &http.Client{Transport: tr, Timeout: 60 * time.Second}, gc: gc}
 	go func() {
 		_ = cmd.Wait()
 		close(s.done)

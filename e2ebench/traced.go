@@ -34,9 +34,12 @@ import (
 //
 //   - http or service.*: the op itself, served by service.NewHandler (span
 //     "http") or by the Service method directly ("service.query",
-//     "service.append"). The ops of each class and shape alternate between
-//     the two paths, so both see the same mix of states, and http self time
-//     is the difference of their medians.
+//     "service.append"). Hits and replays, which repeat the same cheap
+//     request, alternate between the two paths per shape, and http self
+//     time is the difference of the two medians. Fresh queries, appends and
+//     after-append queries, whose cost varies from op to op far more than
+//     an HTTP round trip costs, all go to the Service method; uploads,
+//     prepares and deletes all go through the handler.
 //   - plan.*, subgraph.*, query.eval, store.commit: the same op's work
 //     repeated directly against the lower layers, on plans the benchmark
 //     compiles and advances itself alongside the service's.
@@ -76,7 +79,7 @@ type tracedExec struct {
 	pool  *pool.Pool
 	rng   *rand.Rand
 	data  map[string]*shadowData
-	turn  map[string]int // ops per class and shape so far: even ones go through HTTP
+	turn  map[string]int // hits and replays per shape so far: even ones go through HTTP
 	r     *runner
 	t0    time.Time
 	op    int
@@ -88,10 +91,10 @@ type tracedExec struct {
 }
 
 func newTracedExec(c config) (*tracedExec, error) {
-	cfg := service.Config{DatasetBudget: 1e9, Seed: c.seed, PlanEntries: c.cfg.planCache}
+	cfg := service.Config{DatasetBudget: 1e9, Seed: c.seed}
 	tx := &tracedExec{rng: rand.New(rand.NewSource(c.seed)), data: map[string]*shadowData{},
 		turn: map[string]int{}, t0: time.Now()}
-	if c.cfg.durable {
+	if c.durable {
 		var err error
 		if tx.st, err = store.Open(store.Config{Dir: filepath.Join(c.work, "traced-data")}); err != nil {
 			return nil, err
@@ -161,10 +164,15 @@ func (tx *tracedExec) send(o *op, body []byte) (status int, out []byte, err erro
 // serve executes the op against the service, through the HTTP handler or
 // the Service method.
 func (tx *tracedExec) serve(o *op, body []byte) (int, []byte, error) {
-	turn := o.class + "|" + o.group
-	n := tx.turn[turn]
-	tx.turn[turn]++
-	direct := n%2 == 1 && (o.kind == opQuery || o.kind == opAppend)
+	var direct bool
+	switch o.class {
+	case classHit, classReplay:
+		turn := o.class + "|" + o.group
+		direct = tx.turn[turn]%2 == 1
+		tx.turn[turn]++
+	case classFresh, classAppend, classAfterAppend:
+		direct = true
+	}
 	if !direct {
 		method, path := http.MethodPost, "/v2/query"
 		switch o.kind {
@@ -174,6 +182,8 @@ func (tx *tracedExec) serve(o *op, body []byte) (int, []byte, error) {
 			path = "/v2/prepare"
 		case opAppend:
 			method, path = http.MethodPatch, "/v1/datasets/"+o.dataset
+		case opDelete:
+			method, path = http.MethodDelete, "/v1/datasets/"+o.dataset
 		}
 		req := httptest.NewRequest(method, path, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -240,6 +250,9 @@ func (tx *tracedExec) shadow(o *op) error {
 	ctx := context.Background()
 	sd := tx.data[o.dataset]
 	switch o.kind {
+	case opDelete:
+		delete(tx.data, o.dataset)
+		return nil
 	case opUpload:
 		sd = &shadowData{plans: map[string]*shadowPlan{}}
 		tx.data[o.dataset] = sd
@@ -430,7 +443,7 @@ func ratio(a, b float64) float64 {
 
 func perLayer(c config) (*result, error) {
 	half := c.seconds / 2
-	run, err := runHTTP(c, 0, half)
+	run, err := runHTTP(c, c.seed, half, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +468,7 @@ func perLayer(c config) (*result, error) {
 	r.setup()
 	elapsed := time.Duration(0)
 	if r.checkErr == nil {
-		elapsed = r.runFor(half)
+		elapsed = r.runFor(half, 1)
 		r.checkBudgets()
 	}
 	printClasses(r)
@@ -492,17 +505,20 @@ func perLayer(c config) (*result, error) {
 	count("runtime.gc_cycles_per_op", d["runtime.gc_cycles"]/ops, "count")
 
 	med := tx.layerMs
-	for _, cl := range []string{classFresh, classHit, classReplay, classAfterAppend} {
+	for _, cl := range []string{classFresh, classAfterAppend} {
+		m["service.query_ms."+cl] = metric{med("service.query", cl), "ms"}
+	}
+	// Hits and replays repeat one cheap request, so the differences of
+	// medians below compare like with like; for a hit, the plan-layer calls
+	// the service makes inside Query are Spec.Validate, Spec.Key and one
+	// warm Plan.Release, for a replay only the first two.
+	for _, cl := range []string{classHit, classReplay} {
 		sq := med("service.query", cl)
-		m["http.self_ms."+cl] = metric{med("http", cl) - sq, "ms"}
 		m["service.query_ms."+cl] = metric{sq, "ms"}
-		// The plan-layer calls the service makes inside Query for this class.
-		inner := med("plan.spec", cl) + med("plan.compile", cl) + med("plan.first_release", cl) +
-			med("plan.release", cl) + med("plan.advanced_release", cl)
-		m["service.self_ms."+cl] = metric{sq - inner, "ms"}
+		m["http.self_ms."+cl] = metric{med("http", cl) - sq, "ms"}
+		m["service.self_ms."+cl] = metric{sq - med("plan.spec", cl) - med("plan.release", cl), "ms"}
 	}
 	m["service.append_ms"] = metric{med("service.append", classAppend), "ms"}
-	m["http.self_ms.append"] = metric{med("http", classAppend) - med("service.append", classAppend), "ms"}
 	hitAllocs := 0.0
 	if len(tx.hitAllocs) > 0 {
 		hitAllocs = median(tx.hitAllocs)
