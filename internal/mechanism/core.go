@@ -46,6 +46,23 @@ type SeededSequences interface {
 	GSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error)
 }
 
+// MemoSequences is the optional Sequences extension of implementations that
+// memoize across Cores (the plan layer's cross-release memo): Memo reports
+// H_i (isH) or G_i when it is already computed, without computing it. A
+// wave takes such rungs before it counts misses, so a wave whose rungs are
+// all memoized neither solves nor reaches the fanout.
+type MemoSequences interface {
+	Memo(isH bool, i int) (float64, bool)
+}
+
+// FanoutSequences is the optional Sequences extension of implementations
+// that carry their own wave executor. Core builds it at most once, the
+// first time a wave has two or more misses and no SetFanout was installed,
+// so a release served from memos never pays for one.
+type FanoutSequences interface {
+	Fanout() Fanout
+}
+
 // Fanout executes n independent tasks, possibly concurrently, returning
 // after all have finished; a non-nil error must be the error of the
 // lowest-index failing task (see pool.Pool.Map, whose Fanout adapter is the
@@ -79,10 +96,12 @@ const ladderWave = 4
 type Core struct {
 	seq    Sequences
 	seeded SeededSequences // seq's seeded view, nil when it has none
+	shared MemoSequences   // seq's memo view, nil when it has none
 	warm   bool            // thread warm-start bases through the ladder
 
 	params Params
 	fan    Fanout
+	fanSrc FanoutSequences // builds fan on first need; nil once consulted
 
 	hMemo map[int]float64
 	gMemo map[int]float64
@@ -128,6 +147,8 @@ func NewCore(seq Sequences, params Params) (*Core, error) {
 		gMemo:  make(map[int]float64),
 	}
 	c.seeded, _ = seq.(SeededSequences)
+	c.shared, _ = seq.(MemoSequences)
+	c.fanSrc, _ = seq.(FanoutSequences)
 	return c, nil
 }
 
@@ -199,23 +220,31 @@ func (c *Core) nearestBasis(isH bool, i int) *lp.Basis {
 }
 
 // SetFanout installs the wave executor used by Prepare and XGiven. Set it
-// before the first Prepare/Release; a nil fanout (the default) evaluates
-// waves serially. The sequences must tolerate concurrent H/G calls once a
-// fanout is installed.
-func (c *Core) SetFanout(f Fanout) { c.fan = f }
+// before the first Prepare/Release; a nil fanout (the default, unless seq
+// supplies one as a FanoutSequences) evaluates waves serially. The
+// sequences must tolerate concurrent H/G calls once a fanout is installed.
+func (c *Core) SetFanout(f Fanout) { c.fan, c.fanSrc = f, nil }
+
+// fanout returns the wave executor, building seq's on first need.
+func (c *Core) fanout() Fanout {
+	if c.fanSrc != nil {
+		c.fan, c.fanSrc = c.fanSrc.Fanout(), nil
+	}
+	return c.fan
+}
 
 // waveMax bounds how many indices one probe wave can carry: the XGiven
 // endgame scans a bracket of up to ladderWave+2 candidates.
 const waveMax = ladderWave + 2
 
 // probeWave evaluates H (isH) or G at every index in idxs (≤ waveMax of
-// them), filling vals[k] for idxs[k]. Indices already memoized are served
-// from the memo; the misses are fanned out — or evaluated serially in index
-// order without a fanout, on a zero-allocation path so memoized release
-// ladders stay as cheap as they were before waves existed — and merged into
-// the memo afterwards from the coordinating goroutine, so the memo maps are
-// never written concurrently. Which values come out depends only on idxs,
-// never on the fanout, keeping parallel and sequential execution
+// them), filling vals[k] for idxs[k]. Indices already memoized — in this
+// Core or in seq's shared memo — are served from there. Two or more misses
+// are fanned out; a lone miss, or any without a fanout, is evaluated
+// serially in index order on a zero-allocation path. Results are merged
+// into the memo afterwards from the coordinating goroutine, so the memo
+// maps are never written concurrently. Which values come out depends only
+// on idxs, never on the fanout, keeping parallel and sequential execution
 // bit-identical.
 func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
 	memo := c.gMemo
@@ -225,7 +254,13 @@ func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
 	var missBuf [waveMax]int
 	miss := missBuf[:0]
 	for k, i := range idxs {
-		if v, ok := memo[i]; ok {
+		v, ok := memo[i]
+		if !ok && c.shared != nil {
+			if v, ok = c.shared.Memo(isH, i); ok {
+				memo[i] = v
+			}
+		}
+		if ok {
 			vals[k] = v
 		} else {
 			miss = append(miss, k)
@@ -247,7 +282,7 @@ func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
 	}
 	var basisBuf [waveMax]*lp.Basis
 	bases := basisBuf[:len(miss)]
-	if c.fan == nil || len(miss) == 1 {
+	if len(miss) == 1 || c.fanout() == nil {
 		for m, k := range miss {
 			v, b, err := c.evalSeqSeeded(isH, idxs[k], seeds[m])
 			if err != nil {

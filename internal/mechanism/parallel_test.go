@@ -204,3 +204,77 @@ func TestWaveProbesFixedSchedule(t *testing.T) {
 		}
 	}
 }
+
+// sharedMemoSeq is a Sequences with a cross-Core memo and its own wave
+// executor, the shape of the plan layer's per-release view: it records
+// every value it computes and counts how often a Core asks for the fanout
+// and how many wave tasks reach it.
+type sharedMemoSeq struct {
+	eff           *Efficient
+	h, g          map[int]float64
+	fanouts, runs int
+}
+
+func (s *sharedMemoSeq) NumParticipants() int { return s.eff.NumParticipants() }
+
+func (s *sharedMemoSeq) H(i int) (float64, error) {
+	v, err := s.eff.H(i)
+	s.h[i] = v
+	return v, err
+}
+
+func (s *sharedMemoSeq) G(i int) (float64, error) {
+	v, err := s.eff.G(i)
+	s.g[i] = v
+	return v, err
+}
+
+func (s *sharedMemoSeq) Memo(isH bool, i int) (float64, bool) {
+	m := s.g
+	if isH {
+		m = s.h
+	}
+	v, ok := m[i]
+	return v, ok
+}
+
+func (s *sharedMemoSeq) Fanout() Fanout {
+	s.fanouts++
+	return func(n int, task func(i int) error) error {
+		for i := 0; i < n; i++ {
+			s.runs++
+			if err := task(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestSharedMemoSkipsFanout checks the wave's use of a shared memo: a Core
+// whose ladder the memo already holds takes every rung from it, never
+// builds the fanout and releases exactly what the first Core released.
+func TestSharedMemoSkipsFanout(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	seq := &sharedMemoSeq{eff: mustEfficient(t, randomSensitive(rng, 8, 14, 3)),
+		h: map[int]float64{}, g: map[int]float64{}}
+	params := DefaultParams(0.5, true)
+	first, err := mustCore(t, seq, params).Release(noise.NewRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.fanouts != 1 || seq.runs == 0 {
+		t.Fatalf("first release: %d fanouts built, %d tasks run; want 1 and > 0", seq.fanouts, seq.runs)
+	}
+	runs := seq.runs
+	again, err := mustCore(t, seq, params).Release(noise.NewRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.fanouts != 1 || seq.runs != runs {
+		t.Errorf("memoized release built %d more fanouts and ran %d more tasks, want none", seq.fanouts-1, seq.runs-runs)
+	}
+	if f64bits(again) != f64bits(first) {
+		t.Errorf("memoized release %v != first release %v", again, first)
+	}
+}

@@ -143,28 +143,16 @@ type ReleaseObservation struct {
 
 // ReleaseObserved is Release plus accuracy telemetry. The released value —
 // and the RNG stream producing it — is bit-identical to Release's: the
-// predicted bound is computed first from memoized deterministic state
-// (consuming no randomness), then the release runs unchanged, and the
-// noise magnitude is read off the draw the release was already making.
+// predicted bound is computed after the X search from deterministic state
+// (consuming no randomness), and the noise magnitude is read off the draw
+// the release was already making. Computing the bound there, rather than
+// before the ladder, lets its one G_{|P|} solve seed from the G rungs the
+// Δ search just solved; it runs under the release's live-set registration,
+// so a caller hanging up interrupts it like any ladder solve.
 func (p *Plan) ReleaseObserved(ctx context.Context, epsilon float64, rng *rand.Rand) (ReleaseObservation, error) {
-	// Register with the live set for the profile too: the very first
-	// profile on a plan pays the one G_{|P|} LP solve, and a caller hanging
-	// up should interrupt that solve exactly as it would a ladder solve.
-	id := p.live.add(ctx)
-	predicted, perr := p.ErrorProfile(epsilon, DefaultTail)
-	p.live.remove(id)
-	attr := math.NaN()
-	if perr == nil {
-		attr = predicted.Error
-	}
-	v, lap, err := p.release(ctx, epsilon, rng, attr)
-	if err != nil {
+	var obs ReleaseObservation
+	if _, err := p.release(ctx, epsilon, rng, &obs); err != nil {
 		return ReleaseObservation{}, err
 	}
-	return ReleaseObservation{
-		Value:          v,
-		NoiseMagnitude: math.Abs(lap),
-		Predicted:      predicted,
-		PredictedOK:    perr == nil,
-	}, nil
+	return obs, nil
 }

@@ -162,7 +162,7 @@ func TestAdvanceIdenticalGeneration(t *testing.T) {
 	if !prof.Identical {
 		t.Fatalf("duplicate-edge delta not reported identical: %+v", prof)
 	}
-	if prof.ValuesCarried == 0 || prof.SeedsInherited == 0 {
+	if prof.ValuesCarried == 0 {
 		t.Fatalf("identical advance inherited nothing: %+v", prof)
 	}
 	cold, err := Compile(graphSrc, spec)

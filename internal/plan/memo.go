@@ -24,28 +24,37 @@ type memoSeq struct {
 	info   solveInfoSeq  // inner's per-solve variant, when it offers one
 	seeded seededInfoSeq // inner's warm-start variant, when it offers one
 
-	mu sync.RWMutex
-	h  map[int]float64
-	g  map[int]float64
-	// Cross-release warm bases: the terminal basis of every H (resp. G)
-	// solve on this plan, keyed by rung, from any release. A fresh Core
-	// starts with empty family bases, so without this layer every release's
-	// first H and first G solve would run cold; the memo remembers across
-	// releases — and across the Warm/Release split, where Warm does the Δ
-	// search and a later Release picks up the X search. A miss seeds from
-	// the nearest solved rung (dual-simplex distance tracks the
-	// right-hand-side gap, so nearest beats most-recent). Bases are a pure
-	// performance channel (solver exactness is unconditional), so sharing
-	// them across racing releases needs no more care than the mutex.
-	warmH map[int]*lp.Basis
-	warmG map[int]*lp.Basis
+	mu   sync.RWMutex
+	h, g family
 
 	// warmOff kills seeding (and basis retention) when the plan's
 	// -lp-warm-start gate is off, so the A/B baseline is honestly cold.
 	warmOff atomic.Bool
+}
 
-	hSolves atomic.Uint64 // LP solves performed (misses), for Plan.Solves
-	gSolves atomic.Uint64
+// family is one sequence's cross-release state. bases holds the terminal
+// basis of every solve on this plan, keyed by rung, from any release: a
+// fresh Core starts with empty family bases, so without this layer every
+// release's first H and first G solve would run cold; the memo remembers
+// across releases — and across the Warm/Release split, where Warm does the
+// Δ search and a later Release picks up the X search. A miss seeds from the
+// nearest solved rung (dual-simplex distance tracks the right-hand-side
+// gap, so nearest beats most-recent). Bases never cross generations: an
+// append that adds a match changes the LP's shape, and the solver would
+// reject every inherited basis. Bases are a pure performance
+// channel (solver exactness is unconditional), so sharing them across
+// racing releases needs no more care than the mutex.
+type family struct {
+	vals   map[int]float64
+	bases  map[int]*lp.Basis
+	solves atomic.Uint64 // LP solves performed (misses), for Plan.Solves
+}
+
+func (m *memoSeq) fam(isH bool) *family {
+	if isH {
+		return &m.h
+	}
+	return &m.g
 }
 
 func (m *memoSeq) setWarm(on bool) { m.warmOff.Store(!on) }
@@ -89,10 +98,10 @@ type seededInfoSeq interface {
 }
 
 func newMemoSeq(inner mechanism.Sequences) *memoSeq {
-	m := &memoSeq{
-		inner: inner,
-		h:     make(map[int]float64), g: make(map[int]float64),
-		warmH: make(map[int]*lp.Basis), warmG: make(map[int]*lp.Basis),
+	m := &memoSeq{inner: inner}
+	for _, f := range []*family{&m.h, &m.g} {
+		f.vals = make(map[int]float64)
+		f.bases = make(map[int]*lp.Basis)
 	}
 	m.info, _ = inner.(solveInfoSeq)
 	m.seeded, _ = inner.(seededInfoSeq)
@@ -101,85 +110,57 @@ func newMemoSeq(inner mechanism.Sequences) *memoSeq {
 
 func (m *memoSeq) NumParticipants() int { return m.inner.NumParticipants() }
 
-func (m *memoSeq) H(i int) (float64, error) { return m.hGet(i, nil) }
-
-func (m *memoSeq) G(i int) (float64, error) { return m.gGet(i, nil) }
-
-// hGet is H with span attribution: a memo miss records an lp.solve span
-// (rung index, pivots, LP size) under the phase span cur points at. Hits
-// touch neither the clock nor the cursor beyond one atomic load.
-func (m *memoSeq) hGet(i int, cur *spanCursor) (float64, error) {
-	v, _, err := m.hGetSeeded(i, cur, nil)
+func (m *memoSeq) H(i int) (float64, error) {
+	v, _, err := m.get(true, i, nil, nil)
 	return v, err
 }
 
-// gGet is G with span attribution; see hGet.
-func (m *memoSeq) gGet(i int, cur *spanCursor) (float64, error) {
-	v, _, err := m.gGetSeeded(i, cur, nil)
+func (m *memoSeq) G(i int) (float64, error) {
+	v, _, err := m.get(false, i, nil, nil)
 	return v, err
 }
 
-// hGetSeeded is hGet with warm-start basis handoff: a miss is seeded with
-// the plan's retained basis of the nearest solved H rung (falling back to
-// the caller's seed when the plan has none yet), and the solve's terminal
-// basis is both retained under its rung and returned. Memo hits return a
-// nil basis — there was no solve, so the caller's family basis stands.
-func (m *memoSeq) hGetSeeded(i int, cur *spanCursor, seed *lp.Basis) (float64, *lp.Basis, error) {
-	warmOff := m.warmOff.Load()
+// lookup returns H_i (isH) or G_i when it is memoized, without solving.
+func (m *memoSeq) lookup(isH bool, i int) (float64, bool) {
+	f := m.fam(isH)
 	m.mu.RLock()
-	v, ok := m.h[i]
-	if !warmOff {
-		if b := nearestLocked(m.warmH, i); b != nil {
-			seed = b
-		}
-	}
+	v, ok := f.vals[i]
 	m.mu.RUnlock()
-	if ok {
-		return v, nil, nil
-	}
-	if warmOff {
-		seed = nil
-	}
-	v, b, err := m.solveSeeded(i, cur, "h", seed)
-	if err != nil {
-		return 0, nil, err
-	}
-	m.hSolves.Add(1)
-	m.mu.Lock()
-	m.h[i] = v
-	if b != nil && !warmOff {
-		m.warmH[i] = b
-	}
-	m.mu.Unlock()
-	return v, b, nil
+	return v, ok
 }
 
-// gGetSeeded is hGetSeeded for G; see there.
-func (m *memoSeq) gGetSeeded(i int, cur *spanCursor, seed *lp.Basis) (float64, *lp.Basis, error) {
-	warmOff := m.warmOff.Load()
-	m.mu.RLock()
-	v, ok := m.g[i]
-	if !warmOff {
-		if b := nearestLocked(m.warmG, i); b != nil {
-			seed = b
-		}
-	}
-	m.mu.RUnlock()
-	if ok {
+// get returns H_i (isH) or G_i with span attribution and warm-start basis
+// handoff. A memo hit returns a nil basis — there was no solve, so the
+// caller's family basis stands — and touches neither the clock nor the
+// cursor. A miss records an lp.solve span (rung index, pivots, LP size,
+// seed disposition) under the phase span cur points at; its LP is seeded
+// with the plan's retained basis of the nearest solved rung (falling back
+// to the caller's seed when the plan has none yet), and its terminal basis
+// is both retained under its rung and returned.
+func (m *memoSeq) get(isH bool, i int, cur *spanCursor, seed *lp.Basis) (float64, *lp.Basis, error) {
+	if v, ok := m.lookup(isH, i); ok {
 		return v, nil, nil
 	}
+	f := m.fam(isH)
+	warmOff := m.warmOff.Load()
 	if warmOff {
 		seed = nil
+	} else {
+		m.mu.RLock()
+		if b := nearestLocked(f.bases, i); b != nil {
+			seed = b
+		}
+		m.mu.RUnlock()
 	}
-	v, b, err := m.solveSeeded(i, cur, "g", seed)
+	v, b, err := m.solveSeeded(isH, i, cur, seed)
 	if err != nil {
 		return 0, nil, err
 	}
-	m.gSolves.Add(1)
+	f.solves.Add(1)
 	m.mu.Lock()
-	m.g[i] = v
+	f.vals[i] = v
 	if b != nil && !warmOff {
-		m.warmG[i] = b
+		f.bases[i] = b
 	}
 	m.mu.Unlock()
 	return v, b, nil
@@ -190,94 +171,67 @@ func (m *memoSeq) gGetSeeded(i int, cur *spanCursor, seed *lp.Basis) (float64, *
 // including the seed's disposition) when the release is traced. A nil seed
 // with a seeded inner still uses the seeded call — the solver treats it as
 // a cold solve and hands back a basis worth retaining.
-func (m *memoSeq) solveSeeded(i int, cur *spanCursor, seq string, seed *lp.Basis) (float64, *lp.Basis, error) {
+func (m *memoSeq) solveSeeded(isH bool, i int, cur *spanCursor, seed *lp.Basis) (float64, *lp.Basis, error) {
 	sp := trace.StartChild(cur.get(), "lp.solve")
-	if m.seeded == nil {
-		var v float64
-		var err error
-		if sp != nil && m.info != nil {
-			var info mechanism.SolveInfo
-			if seq == "h" {
-				v, info, err = m.info.HInfo(i)
-			} else {
-				v, info, err = m.info.GInfo(i)
-			}
-			spanInfo(sp, seq, i, info, err)
-		} else {
-			if seq == "h" {
-				v, err = m.inner.H(i)
-			} else {
-				v, err = m.inner.G(i)
-			}
-			sp.End() // sp can be non-nil here (info-less inner); still close it
-		}
-		return v, nil, err
-	}
 	var (
 		v    float64
 		info mechanism.SolveInfo
 		b    *lp.Basis
 		err  error
 	)
-	if seq == "h" {
+	switch {
+	case m.seeded != nil && isH:
 		v, info, b, err = m.seeded.HInfoSeeded(i, seed)
-	} else {
+	case m.seeded != nil:
 		v, info, b, err = m.seeded.GInfoSeeded(i, seed)
+	case sp != nil && m.info != nil && isH:
+		v, info, err = m.info.HInfo(i)
+	case sp != nil && m.info != nil:
+		v, info, err = m.info.GInfo(i)
+	default:
+		if isH {
+			v, err = m.inner.H(i)
+		} else {
+			v, err = m.inner.G(i)
+		}
+		sp.End() // sp can be non-nil here (info-less inner); still close it
+		return v, nil, err
 	}
 	if sp != nil {
-		spanInfo(sp, seq, i, info, err)
+		seq := "g"
+		if isH {
+			seq = "h"
+		}
+		sp.Str("seq", seq).Int("i", int64(i)).
+			Int("pivots", int64(info.Pivots)).Int("rows", int64(info.Rows)).Int("cols", int64(info.Cols)).
+			Str("warm", info.Warm.String())
+		if err != nil {
+			sp.Str("error", err.Error())
+		}
+		sp.End()
 	}
 	return v, b, err
 }
 
-// spanInfo stamps and closes an lp.solve span with the solve's cost and
-// warm-start disposition.
-func spanInfo(sp *trace.Span, seq string, i int, info mechanism.SolveInfo, err error) {
-	sp.Str("seq", seq).Int("i", int64(i)).
-		Int("pivots", int64(info.Pivots)).Int("rows", int64(info.Rows)).Int("cols", int64(info.Cols)).
-		Str("warm", info.Warm.String())
-	if err != nil {
-		sp.Str("error", err.Error())
-	}
-	sp.End()
-}
-
 func (m *memoSeq) solves() (h, g uint64) {
-	return m.hSolves.Load(), m.gSolves.Load()
+	return m.h.solves.Load(), m.g.solves.Load()
 }
 
-// inherit copies the predecessor generation's retained terminal bases into
-// this memo, so the first release on a delta-compiled plan seeds its H/G
-// solves from the parent generation instead of running cold. Bases are a
-// pure performance channel — an incompatible seed is discarded inside the
-// solver and exactness is unconditional either way (certified-or-discard) —
-// so inheritance can only skip pivots, never change a bit. When values is
-// true (the delta left the LP encoding semantically identical: same tuples,
-// same participant count, node privacy), the solved H/G values themselves
-// carry over too and the new generation's first release skips those solves
-// entirely.
-func (m *memoSeq) inherit(from *memoSeq, values bool) (vals, seeds int) {
+// carryValues copies the predecessor generation's solved H/G values into
+// this memo, for a delta that left the LP encoding semantically identical
+// (same tuples, same participant count): the new generation's first release
+// then skips those solves entirely. Bases stay behind, like every basis of
+// another generation (see family).
+func (m *memoSeq) carryValues(from *memoSeq) int {
 	from.mu.RLock()
 	defer from.mu.RUnlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, b := range from.warmH {
-		m.warmH[i] = b
-		seeds++
+	for i, v := range from.h.vals {
+		m.h.vals[i] = v
 	}
-	for i, b := range from.warmG {
-		m.warmG[i] = b
-		seeds++
+	for i, v := range from.g.vals {
+		m.g.vals[i] = v
 	}
-	if values {
-		for i, v := range from.h {
-			m.h[i] = v
-			vals++
-		}
-		for i, v := range from.g {
-			m.g[i] = v
-			vals++
-		}
-	}
-	return vals, seeds
+	return len(from.h.vals) + len(from.g.vals)
 }

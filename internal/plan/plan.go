@@ -633,22 +633,23 @@ func (p *Plan) EstimateResult() (estimate.Result, bool) {
 // (its result is memoized for everyone); the memo keeps whatever entries
 // completed, they stay valid.
 func (p *Plan) Release(ctx context.Context, epsilon float64, rng *rand.Rand) (float64, error) {
-	v, _, err := p.release(ctx, epsilon, rng, math.NaN())
-	return v, err
+	return p.release(ctx, epsilon, rng, nil)
 }
 
-// release is the shared body of Release and ReleaseObserved. predicted,
-// when not NaN, is the Theorem 1 error bound computed for this ε — recorded
-// as a span attribute so traces and the slow-query log carry the expected
-// error beside the phases that produced the answer. The second return is
-// the final Laplace draw actually added (the realized noise), which the
-// serving layer's accuracy histograms compare against the prediction.
-func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, predicted float64) (float64, float64, error) {
+// release is the shared body of Release and ReleaseObserved. A non-nil obs
+// asks for accuracy telemetry: the Theorem 1 bound at this ε, computed
+// between the X search and the final noise draw — where G_{|P|} seeds from
+// the nearest G rung the ladder just solved, or is memoized already — and
+// recorded as the release span's predictedError so traces and the
+// slow-query log carry the expected error beside the phases that produced
+// the answer, plus the magnitude of the final Laplace draw actually added.
+// The profile consumes no randomness, so the value is Release's either way.
+func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, obs *ReleaseObservation) (float64, error) {
 	if math.IsNaN(epsilon) || math.IsInf(epsilon, 0) || epsilon <= 0 {
-		return 0, 0, specErrorf("release ε must be positive and finite, got %g", epsilon)
+		return 0, specErrorf("release ε must be positive and finite, got %g", epsilon)
 	}
 	if p.sampled != nil {
-		return p.releaseSampled(ctx, epsilon, rng, predicted)
+		return p.releaseSampled(ctx, epsilon, rng, obs)
 	}
 	params := mechanism.DefaultParams(epsilon, p.nodeLike)
 	// Allocate the cursor only when this release is traced: on the untraced
@@ -658,12 +659,10 @@ func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, pre
 	if trace.FromContext(ctx) != nil {
 		cur = &spanCursor{}
 	}
-	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, inner: p.seq}, params)
+	core, err := p.newCore(ctx, cur, params)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	core.SetWarmStart(!p.lpWarmOff.Load())
-	p.setFanout(ctx, core)
 	id := p.live.add(ctx)
 	defer p.live.remove(id)
 	// The three steps below are exactly mechanism.Core.Release — Δ̂ draw, X
@@ -673,9 +672,6 @@ func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, pre
 	// Spans only observe; the determinism tests pin the released values
 	// against Core.Release, so this duplication cannot drift silently.
 	rel := trace.Child(ctx, "release")
-	if !math.IsNaN(predicted) {
-		rel.Float("predictedError", predicted)
-	}
 	ph := trace.StartChild(rel, "delta.search")
 	cur.set(ph)
 	deltaHat, err := core.NoisyDelta(rng)
@@ -683,7 +679,7 @@ func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, pre
 	ph.End()
 	if err != nil {
 		rel.End()
-		return 0, 0, err
+		return 0, err
 	}
 	ph = trace.StartChild(rel, "x.search")
 	cur.set(ph)
@@ -692,7 +688,19 @@ func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, pre
 	ph.End()
 	if err != nil {
 		rel.End()
-		return 0, 0, err
+		return 0, err
+	}
+	if obs != nil {
+		ph = trace.StartChild(rel, "profile")
+		cur.set(ph)
+		gLast, _, err := p.seq.get(false, p.nP, cur, nil)
+		cur.set(nil)
+		ph.End()
+		if err == nil {
+			obs.Predicted = mechanism.TheoreticalAccuracyAt(epsilon, p.nodeLike, gLast, efficientG, DefaultTail)
+			obs.PredictedOK = true
+			rel.Float("predictedError", obs.Predicted.Error)
+		}
 	}
 	nsp := trace.StartChild(rel, "noise.draw")
 	lap := noise.Laplace(rng, deltaHat/params.Epsilon2)
@@ -700,17 +708,25 @@ func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, pre
 	nsp.End()
 	rel.Float("noiseMagnitude", math.Abs(lap))
 	rel.End()
-	return v, lap, nil
+	if obs != nil {
+		obs.Value, obs.NoiseMagnitude = v, math.Abs(lap)
+	}
+	return v, nil
 }
 
-// setFanout points the core's ladder waves at the plan's compute pool (a
-// plan compiled without one stays serial). The wave probe schedule is a
-// constant of the mechanism, so this changes wall-clock overlap only —
-// never a computed value (see mechanism.Core.SetFanout).
-func (p *Plan) setFanout(ctx context.Context, core *mechanism.Core) {
-	if p.pool != nil {
-		core.SetFanout(mechanism.Fanout(p.pool.Fanout(ctx)))
+// newCore builds the mechanism core of one release or warm-up over the
+// plan's shared memo. The core fans its ladder waves onto the plan's
+// compute pool (a plan compiled without one stays serial), building the
+// fanout only when a wave first has two misses. The wave probe schedule is
+// a constant of the mechanism, so the fanout changes wall-clock overlap
+// only — never a computed value (see mechanism.Core.SetFanout).
+func (p *Plan) newCore(ctx context.Context, cur *spanCursor, params mechanism.Params) (*mechanism.Core, error) {
+	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, inner: p.seq, pool: p.pool}, params)
+	if err != nil {
+		return nil, err
 	}
+	core.SetWarmStart(!p.lpWarmOff.Load())
+	return core, nil
 }
 
 // Warm materializes the release path's sequence state for ε without
@@ -735,12 +751,10 @@ func (p *Plan) Warm(ctx context.Context, epsilon float64) error {
 	if trace.FromContext(ctx) != nil {
 		cur = &spanCursor{}
 	}
-	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, inner: p.seq}, params)
+	core, err := p.newCore(ctx, cur, params)
 	if err != nil {
 		return err
 	}
-	core.SetWarmStart(!p.lpWarmOff.Load())
-	p.setFanout(ctx, core)
 	id := p.live.add(ctx)
 	defer p.live.remove(id)
 	wsp := trace.Child(ctx, "plan.warm")
@@ -788,27 +802,25 @@ func (c *spanCursor) get() *trace.Span {
 // first checks for cancellation, giving long LP ladders a cooperative abort
 // point without the mechanism knowing about contexts. The cursor carries
 // the release's current phase span so a memo miss can hang its lp.solve
-// span under the right phase.
+// span under the right phase; pool, when non-nil, is the compute pool the
+// release's waves fan onto.
 type ctxSeq struct {
 	ctx   context.Context
 	cur   *spanCursor
 	inner *memoSeq
+	pool  *pool.Pool
 }
 
 func (s ctxSeq) NumParticipants() int { return s.inner.NumParticipants() }
 
 func (s ctxSeq) H(i int) (float64, error) {
-	if err := s.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.inner.hGet(i, s.cur)
+	v, _, err := s.HSeeded(i, nil)
+	return v, err
 }
 
 func (s ctxSeq) G(i int) (float64, error) {
-	if err := s.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.inner.gGet(i, s.cur)
+	v, _, err := s.GSeeded(i, nil)
+	return v, err
 }
 
 // HSeeded implements mechanism.SeededSequences, forwarding the warm-start
@@ -817,7 +829,7 @@ func (s ctxSeq) HSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error) {
 	if err := s.ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	return s.inner.hGetSeeded(i, s.cur, seed)
+	return s.inner.get(true, i, s.cur, seed)
 }
 
 // GSeeded implements mechanism.SeededSequences; see HSeeded.
@@ -825,5 +837,22 @@ func (s ctxSeq) GSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error) {
 	if err := s.ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	return s.inner.gGetSeeded(i, s.cur, seed)
+	return s.inner.get(false, i, s.cur, seed)
+}
+
+// Memo implements mechanism.MemoSequences. A canceled release reports a
+// miss, so the access that follows surfaces the cancellation.
+func (s ctxSeq) Memo(isH bool, i int) (float64, bool) {
+	if s.ctx.Err() != nil {
+		return 0, false
+	}
+	return s.inner.lookup(isH, i)
+}
+
+// Fanout implements mechanism.FanoutSequences.
+func (s ctxSeq) Fanout() mechanism.Fanout {
+	if s.pool == nil {
+		return nil
+	}
+	return s.pool.Fanout(s.ctx)
 }

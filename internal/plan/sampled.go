@@ -178,15 +178,17 @@ func sampledCap(spec *Spec, g *graph.Graph) (float64, error) {
 // releaseSampled is the estimator tier's release: the cached estimate plus
 // one Laplace draw at scale cap/ε. It consumes exactly one rng draw — the
 // replay and determinism guarantees are the stream's, same as the exact
-// path's two draws.
-func (p *Plan) releaseSampled(ctx context.Context, epsilon float64, rng *rand.Rand, predicted float64) (float64, float64, error) {
+// path's two draws. A non-nil obs receives the closed-form profile and the
+// draw's magnitude, as on the exact path.
+func (p *Plan) releaseSampled(ctx context.Context, epsilon float64, rng *rand.Rand, obs *ReleaseObservation) (float64, error) {
 	if err := ctx.Err(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	rel := trace.Child(ctx, "release")
 	rel.Str("mode", ModeSampled)
-	if !math.IsNaN(predicted) {
-		rel.Float("predictedError", predicted)
+	if obs != nil {
+		obs.Predicted, obs.PredictedOK = p.sampledProfile(epsilon, DefaultTail), true
+		rel.Float("predictedError", obs.Predicted.Error)
 	}
 	nsp := trace.StartChild(rel, "noise.draw")
 	lap := noise.Laplace(rng, p.sampled.cap/epsilon)
@@ -194,7 +196,10 @@ func (p *Plan) releaseSampled(ctx context.Context, epsilon float64, rng *rand.Ra
 	nsp.End()
 	rel.Float("noiseMagnitude", math.Abs(lap))
 	rel.End()
-	return v, lap, nil
+	if obs != nil {
+		obs.Value, obs.NoiseMagnitude = v, math.Abs(lap)
+	}
+	return v, nil
 }
 
 // sampledProfile composes the release's Laplace tail bound with the

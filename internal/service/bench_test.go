@@ -15,7 +15,7 @@ import (
 	"recmech/internal/sfcache"
 )
 
-func benchService(b *testing.B) *Service {
+func benchService(b testing.TB) *Service {
 	b.Helper()
 	// RECMECH_TRACE_SAMPLE lets CI A/B the prepared hot path with warm-query
 	// tracing forced on (=1) against the default-off configuration, to
@@ -86,32 +86,64 @@ func BenchmarkServiceQuery(b *testing.B) {
 // BenchmarkServiceQuery, the fresh-query path of the same workload.
 func BenchmarkPreparedRelease(b *testing.B) {
 	svc := benchService(b)
-	ctx := context.Background()
-	const query = "SELECT x, y FROM visits WHERE x != 'warm'"
-	// Prepare-only priming: the plan and its sequence memo are warmed the
-	// way a /v2/prepare client would, spending zero ε, so the loop measures
-	// exactly what a prepared client pays per release.
-	if _, err := svc.Prepare(ctx, Request{Dataset: "med", Kind: KindSQL, Query: query, Epsilon: 0.5}); err != nil {
-		b.Fatalf("priming prepare: %v", err)
-	}
+	release := preparedReleaser(b, svc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		release()
+	}
+	reportHitRatio(b, "plan_hit_ratio", svc.exec.plans.Stats())
+}
+
+// preparedAllocs is the prepared hot path's allocation budget per release.
+const preparedAllocs = 51
+
+// TestPreparedReleaseAllocs pins BenchmarkPreparedRelease's loop body at
+// exactly preparedAllocs allocations, whatever GOMAXPROCS the service was
+// built under: a release whose ladder the plan memo already holds must not
+// reach the compute pool, and the per-release accuracy telemetry must stay
+// allocation-free. The race detector instruments allocation, so the pin is
+// checked in normal builds only.
+func TestPreparedReleaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	release := preparedReleaser(t, benchService(t))
+	for i := 0; i < 20; i++ { // settle the memo around the primed ε
+		release()
+	}
+	if got := testing.AllocsPerRun(200, release); got != preparedAllocs {
+		t.Fatalf("prepared release: %v allocs/op, pinned at %d", got, preparedAllocs)
+	}
+}
+
+// preparedReleaser primes svc's plan for the prepared-release workload the
+// way a /v2/prepare client would, spending zero ε, and returns one step of
+// the workload: a release at a fresh ε (never a release-cache replay) on
+// the primed plan, which is exactly what a prepared client pays per call.
+func preparedReleaser(tb testing.TB, svc *Service) func() {
+	ctx := context.Background()
+	const query = "SELECT x, y FROM visits WHERE x != 'warm'"
+	if _, err := svc.Prepare(ctx, Request{Dataset: "med", Kind: KindSQL, Query: query, Epsilon: 0.5}); err != nil {
+		tb.Fatalf("priming prepare: %v", err)
+	}
+	i := 0
+	return func() {
+		i++
 		req := Request{
 			Dataset: "med",
 			Kind:    KindSQL,
 			Query:   query,
-			Epsilon: 0.5 + float64(i+1)*1e-9, // fresh ε: never a release-cache replay
+			Epsilon: 0.5 + float64(i)*1e-9, // fresh ε: never a release-cache replay
 		}
 		resp, err := svc.Query(ctx, req)
 		if err != nil {
-			b.Fatalf("Query: %v", err)
+			tb.Fatalf("Query: %v", err)
 		}
 		if resp.Cached {
-			b.Fatal("prepared release unexpectedly replayed")
+			tb.Fatal("prepared release unexpectedly replayed")
 		}
 	}
-	reportHitRatio(b, "plan_hit_ratio", svc.exec.plans.Stats())
 }
 
 // reportHitRatio attaches a cache's shared-answer ratio to the benchmark
