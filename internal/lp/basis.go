@@ -55,16 +55,22 @@ type eta struct {
 	diag       float64
 }
 
-// luFactors is an LU factorization of the basis matrix B (columns
-// A[:,basic[k]] in slot order) with partial pivoting, PB = LU, plus a
-// product-form eta file appended by pivots since the last refactorization.
+// luFactors is an LU factorization of the basis matrix B (column k is
+// A[:,basic[k]]) with partial pivoting, PB = LU, plus a product-form eta
+// file appended by pivots since the last refactorization. Columns are
+// eliminated sparsest first rather than in slot order: order maps each
+// elimination position to the basis slot it factored, so the slots
+// themselves never move — ftran scatters its position-space solution back
+// through order, btran gathers through it, and the eta file (slot space)
+// and every caller holding a slot index across a refactor are unaffected.
 // L is unit lower triangular in pivot-position space with subdiagonal
-// entries stored by original row; U is stored by column (slot) with the
+// entries stored by original row; U is stored by position with the
 // diagonal split out. Everything is reused across refactorizations to keep
 // per-solve allocation flat.
 type luFactors struct {
 	m int
 
+	order  []int32 // position -> basis slot whose column was eliminated there
 	pivRow []int32 // position -> original row chosen as pivot
 	posOf  []int32 // original row -> position (inverse of pivRow)
 
@@ -103,6 +109,7 @@ const (
 func newLUFactors(m int) *luFactors {
 	return &luFactors{
 		m:       m,
+		order:   make([]int32, m),
 		pivRow:  make([]int32, m),
 		posOf:   make([]int32, m),
 		lPtr:    make([]int32, m+1),
@@ -118,12 +125,33 @@ func newLUFactors(m int) *luFactors {
 }
 
 // factorize rebuilds PB = LU for the given basic columns and clears the eta
-// file. Columns are processed in slot order with partial pivoting (largest
-// magnitude, ties to the lowest original row), which is deterministic — the
-// canonical-extraction argument leans on refactorization being a pure
-// function of the basis partition. Returns false on a singular basis.
+// file. Columns are eliminated sparsest first — by nonzero count, ties to
+// the lower column index (cmpSparsest) — with partial pivoting (largest
+// magnitude, ties to the lowest original row). Putting the dense columns
+// last keeps fill out of L: a column with an entry in every row (the G
+// LP's z) eliminated early would leave a multiplier in every row for each
+// later column to apply, while eliminated last it only collects U entries
+// from the pivots already made. The order depends on the basis *set*, not
+// on which slot holds which column, and the elimination is deterministic,
+// so the factors — and everything solved with them — are a pure function
+// of the basis partition, which the canonical-extraction argument leans on.
+// Returns false on a singular basis.
 func (f *luFactors) factorize(in *instance, basic []int32) bool {
-	m := f.m
+	f.reset()
+	for k := range f.order {
+		f.order[k] = int32(k)
+	}
+	slices.SortFunc(f.order, func(a, b int32) int { return in.cmpSparsest(basic[a], basic[b]) })
+	for k, slot := range f.order {
+		if !f.eliminateColumn(in, basic[slot], k) {
+			return false
+		}
+	}
+	return true
+}
+
+// reset empties the factors and the eta file ahead of a fresh elimination.
+func (f *luFactors) reset() {
 	f.etas = f.etas[:0]
 	f.eIdx, f.eVal = f.eIdx[:0], f.eVal[:0]
 	f.lRow, f.lVal = f.lRow[:0], f.lVal[:0]
@@ -131,25 +159,30 @@ func (f *luFactors) factorize(in *instance, basic []int32) bool {
 	for i := range f.posOf {
 		f.posOf[i] = -1
 	}
-	for k := 0; k < m; k++ {
-		if !f.eliminateColumn(in, basic[k], k) {
-			return false
-		}
+}
+
+// cmpSparsest orders columns by nonzero count, ties to the lower index: the
+// elimination order of factorize and canonicalBasis.
+func (in *instance) cmpSparsest(a, b int32) int {
+	na := in.colPtr[a+1] - in.colPtr[a]
+	nb := in.colPtr[b+1] - in.colPtr[b]
+	if na != nb {
+		return int(na - nb)
 	}
-	return true
+	return int(a - b)
 }
 
 // eliminateColumn runs one left-looking elimination step for column j at
-// slot k: scatter, apply prior L columns, choose the pivot among touched
-// non-pivot rows (largest magnitude, ties to the lowest original row — the
-// same deterministic rule a dense ascending scan implements), and append
-// the L multipliers in ascending row order so the factors are bit-identical
-// to the dense-scan formulation. The touched-row worklist keeps the pivot
-// search and the L append proportional to the column's fill-in instead of
-// m, which is what makes refactorization cheap for the mostly-slack
-// columns of the occurrence-incidence rows. Returns false when no pivot
-// clears luTinyPivot, undoing the column's U entries so a greedyBasis probe
-// can reject a dependent candidate and keep going.
+// position k: scatter, apply prior L columns, choose the pivot among
+// touched non-pivot rows (largest magnitude, ties to the lowest original
+// row — the same deterministic rule a dense ascending scan implements),
+// and append the L multipliers in ascending row order so the factors are
+// bit-identical to the dense-scan formulation. The touched-row worklist
+// keeps the pivot search and the L append proportional to the column's
+// fill-in instead of m, which is what makes refactorization cheap for the
+// mostly-slack columns of the occurrence-incidence rows. Returns false
+// when no pivot clears luTinyPivot; the partial factors are then garbage
+// and the caller gives up on this basis.
 func (f *luFactors) eliminateColumn(in *instance, j int32, k int) bool {
 	f.epoch++
 	x := f.work
@@ -160,7 +193,6 @@ func (f *luFactors) eliminateColumn(in *instance, j int32, k int) bool {
 		f.stamp[r] = f.epoch
 		touch = append(touch, r)
 	}
-	uLen := len(f.uPos)
 	// Left-looking elimination: apply prior L columns in ascending pivot
 	// order, but visit only the positions whose pivot row is actually
 	// touched — a min-heap seeded from the scattered rows, fed as L
@@ -217,8 +249,6 @@ func (f *luFactors) eliminateColumn(in *instance, j int32, k int) bool {
 	}
 	f.touch = touch
 	if bestRow < 0 {
-		f.uPos = f.uPos[:uLen]
-		f.uVal = f.uVal[:uLen]
 		return false
 	}
 	// Ascending row order keeps the L entry order — and hence every
@@ -300,54 +330,39 @@ func heapPopPos(h []int32) (int32, []int32) {
 	return top, h
 }
 
-// greedyBasis selects a canonical nonsingular basis for the vertex
-// canonicalization (see canonicalizeVertex): the must-be-basic interior
-// columns first, then every other column in ascending index order, each
-// accepted only when it extends the rank of the columns accepted so far
-// (left-looking elimination, pivot above luTinyPivot). The selection is a
-// pure function of the candidate classification and the exact matrix A —
-// no solver state leaks in — so any two pivot paths that classify a vertex
-// identically choose the identical basis. Returns ok=false when an interior
-// column is rejected (numerical trouble: interior columns are independent
-// in every partition of the vertex) or fewer than m columns can be
-// accepted. Clobbers the factorization; the caller refactorizes.
-func (f *luFactors) greedyBasis(in *instance, interior []int32) ([]int32, bool) {
-	m := f.m
-	f.etas = f.etas[:0]
-	f.eIdx, f.eVal = f.eIdx[:0], f.eVal[:0]
-	f.lRow, f.lVal = f.lRow[:0], f.lVal[:0]
-	f.uPos, f.uVal = f.uPos[:0], f.uVal[:0]
-	for i := range f.posOf {
-		f.posOf[i] = -1
-	}
-	chosen := make([]int32, 0, m)
-	// try probes one candidate; eliminateColumn rolls back its U entries
-	// when the column is dependent on the accepted ones, so a rejection
-	// leaves the partial factorization untouched.
-	try := func(j int32) bool {
-		if !f.eliminateColumn(in, j, len(chosen)) {
-			return false
-		}
-		chosen = append(chosen, j)
-		return true
-	}
-	for _, j := range interior {
-		if !try(j) {
+// canonicalBasis selects and factors a canonical nonsingular basis for the
+// vertex canonicalization (see canonicalizeVertex): the must-be-basic
+// interior columns, eliminated sparsest first (cmpSparsest), then — for
+// every row those left unpivoted, in ascending row order — that row's
+// crash column. A crash column is a +1 unit column (slack or artificial);
+// it is not interior (an interior one would have pivoted its row
+// already), so it sits at its bound, and it pivots on its own free row
+// with no fill, so the completion cannot fail. The selection is a pure function of the interior set
+// and the exact matrix A — no solver state leaks in — so any two pivot
+// paths that classify a vertex identically choose the identical basis.
+// The factors are left in f with position k factoring slot k of the
+// returned basis: the canonical LU of the canonical basis, ready for
+// canonicalX. Returns ok=false when an interior column fails to pivot
+// (numerical trouble: interior columns are independent in every partition
+// of the vertex), leaving the factors garbage; the caller refactorizes.
+func (f *luFactors) canonicalBasis(in *instance, interior []int32) ([]int32, bool) {
+	f.reset()
+	chosen := make([]int32, len(interior), f.m)
+	copy(chosen, interior)
+	slices.SortFunc(chosen, in.cmpSparsest)
+	for k, j := range chosen {
+		if !f.eliminateColumn(in, j, k) {
 			return nil, false
 		}
 	}
-	inSet := make([]bool, in.nTotal)
-	for _, j := range chosen {
-		inSet[j] = true
-	}
-	for j := int32(0); len(chosen) < m && int(j) < in.nTotal; j++ {
-		if inSet[j] {
-			continue
+	for r, j := range in.crash {
+		if f.posOf[r] < 0 {
+			f.eliminateColumn(in, j, len(chosen)) // unit column on a free row: pivots on r
+			chosen = append(chosen, j)
 		}
-		try(j)
 	}
-	if len(chosen) != m {
-		return nil, false
+	for k := range f.order {
+		f.order[k] = int32(k)
 	}
 	return chosen, true
 }
@@ -368,14 +383,14 @@ func (f *luFactors) ftran(in *instance, rhs []float64, xSlot []float64) {
 		}
 		f.zpos[t] = v
 	}
-	// U back-substitution (position space -> slot space; diagonal aligns).
+	// U back-substitution in position space, scattered to slots by order.
 	z := f.zpos
 	for k := m - 1; k >= 0; k-- {
 		xk := z[k]
 		if xk != 0 {
 			xk /= f.udiag[k]
 		}
-		xSlot[k] = xk
+		xSlot[f.order[k]] = xk
 		if xk != 0 {
 			for q := f.uPtr[k]; q < f.uPtr[k+1]; q++ {
 				z[f.uPos[q]] -= f.uVal[q] * xk
@@ -415,10 +430,10 @@ func (f *luFactors) btran(cSlot []float64, yRow []float64) {
 		}
 		v[et.slot] = s
 	}
-	// Uᵀ forward solve (slot space -> position space).
+	// Uᵀ forward solve, gathering slots by order into position space.
 	w := f.work[:m]
 	for k := 0; k < m; k++ {
-		s := v[k]
+		s := v[f.order[k]]
 		for q := f.uPtr[k]; q < f.uPtr[k+1]; q++ {
 			s -= f.uVal[q] * w[f.uPos[q]]
 		}

@@ -86,7 +86,10 @@ func decodeFuzzLP(r *fuzzReader, perturb bool) *Problem {
 // objective (scale-relative) and feasibility. The same input then becomes a
 // perturbed-RHS follow-up problem solved twice — cold, and seeded with the
 // first solve's terminal basis — and those two must agree bit for bit,
-// which is the warm-start exactness contract under adversarial inputs.
+// which is the warm-start exactness contract under adversarial inputs. A
+// third solve seeds from the same basis with its slots reversed: the
+// factorization depends on the basis set alone, so slot layout must not
+// reach a single bit either.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{})                                   // all-defaults degenerate
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // zero costs, ties everywhere
@@ -129,5 +132,10 @@ func FuzzSolver(f *testing.F) {
 			t.Fatalf("perturbed SolveSeeded: %v", err)
 		}
 		sameBits(t, "perturbed", warm, cold)
+		reversed, err := decodeFuzzLP(&fuzzReader{data: data}, true).SolveSeeded(reversedSlots(got.Basis))
+		if err != nil {
+			t.Fatalf("perturbed SolveSeeded, reversed slots: %v", err)
+		}
+		sameBits(t, "reversed slots", reversed, cold)
 	})
 }

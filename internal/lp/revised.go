@@ -1013,8 +1013,8 @@ func (s *rev) certify() bool {
 // partition of the terminal vertex: classify every column against the
 // vertex values (nonbasics sit at their bound; basics are interior, or
 // snapped to a bound they are within snapLo of), then rebuild the basis as
-// the interior columns plus a greedy index-order completion from the
-// at-bound columns (greedyBasis) — a selection that depends only on the
+// the interior columns plus the crash columns of the rows they leave
+// unpivoted (canonicalBasis) — a selection that depends only on the
 // classification and the exact matrix A, never on the pivot path that
 // reached the vertex. Cold and warm solves that terminate at the same
 // vertex therefore extract from the same partition, which is what makes
@@ -1054,17 +1054,14 @@ func (s *rev) canonicalizeVertex() bool {
 		}
 	}
 	// Interior columns are basic in every partition of this vertex, so they
-	// are independent and greedyBasis must accept them all. Sort them by
-	// column index first: the classify loop above visits basic slots in the
-	// pivot path's slot order, and the slot order of the rebuilt basis fixes
-	// the LU elimination order — and with it the roundoff in the extracted
-	// values. Sorting makes the ordered basis, not just the basis set, a
-	// pure function of the vertex.
-	sort.Slice(interior, func(a, b int) bool { return interior[a] < interior[b] })
-	// greedyBasis reuses the factor storage, so the current factors are
-	// garbage from here until the next refactor — mark them stale.
+	// are independent and canonicalBasis must accept them all. The classify
+	// loop above visits them in the pivot path's slot order; canonicalBasis
+	// sorts them itself, so the ordered basis — and with it the roundoff in
+	// the extracted values — is a pure function of the vertex. It reuses
+	// the factor storage, so the current factors are garbage from here
+	// until the next refactor — mark them stale.
 	s.sinceRefactor++
-	chosen, ok := s.f.greedyBasis(in, interior)
+	chosen, ok := s.f.canonicalBasis(in, interior)
 	if !ok {
 		s.refactor()
 		return false
@@ -1078,11 +1075,10 @@ func (s *rev) canonicalizeVertex() bool {
 	for _, j := range s.basic {
 		s.status[j] = basic
 	}
-	// greedyBasis eliminated the accepted columns with the exact code path
-	// factorize would run on them (eliminateColumn, in chosen order, with
-	// rejected probes rolled back), so f already holds the canonical LU of
-	// the canonical basis — no refactorization needed, only the canonical
-	// recomputation of the basic values against it.
+	// canonicalBasis left the canonical LU of the canonical basis in f (its
+	// own elimination order, a pure function of the basis like factorize's)
+	// — no refactorization needed, only the canonical recomputation of the
+	// basic values against it.
 	s.sinceRefactor = 0
 	s.canonicalX()
 	return true

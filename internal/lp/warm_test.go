@@ -58,8 +58,23 @@ func sameBits(t *testing.T, label string, warm, cold Result) {
 
 // TestWarmLadderBitIdentical walks a 30-rung ladder seeding each solve from
 // the previous rung's terminal basis and requires every warm result to be
-// bit-identical to an independent cold solve of the same rung.
+// bit-identical to an independent cold solve of the same rung. It walks
+// twice: with each seed as returned, and with its slots reversed — the
+// factorization depends on the basis set alone, so slot layout must reach
+// neither a bit nor whether the seed applies.
 func TestWarmLadderBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		layout func(*Basis) *Basis
+	}{
+		{"as returned", func(b *Basis) *Basis { return b }},
+		{"slots reversed", reversedSlots},
+	} {
+		t.Run(tc.name, func(t *testing.T) { walkWarmLadder(t, tc.layout) })
+	}
+}
+
+func walkWarmLadder(t *testing.T, layout func(*Basis) *Basis) {
 	const n, m = 24, 10
 	var seed *Basis
 	applied := 0
@@ -68,7 +83,7 @@ func TestWarmLadderBitIdentical(t *testing.T) {
 		// fresh rng so both problems match.
 		pw := ladderProblem(rand.New(rand.NewSource(7)), n, m, float64(card)/2)
 		pc := ladderProblem(rand.New(rand.NewSource(7)), n, m, float64(card)/2)
-		warm, err := pw.SolveSeeded(seed)
+		warm, err := pw.SolveSeeded(layout(seed))
 		if err != nil {
 			t.Fatalf("card %d: SolveSeeded: %v", card, err)
 		}

@@ -335,7 +335,10 @@ func TestV2JobCancelHTTP(t *testing.T) {
 	}
 
 	// Wait for the runner to settle the in-flight item, then audit: spent ε
-	// equals 0.5 per completed item, nothing stays reserved.
+	// equals 0.5 per completed item, nothing stays reserved. A canceled job
+	// is terminal at once while its in-flight item still runs, and that
+	// item commits its ε before the runner marks it done, so the wait also
+	// needs every item out of the running state.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		code, raw = doJSON(t, "GET", ts.URL+"/v2/jobs/"+job.ID, nil)
@@ -346,7 +349,7 @@ func TestV2JobCancelHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, _ := svc.Budget("med")
-		if terminalJobState(job.State) && st.Reserved == 0 {
+		if terminalJobState(job.State) && st.Reserved == 0 && !anyItemRunning(job) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -366,6 +369,15 @@ func TestV2JobCancelHTTP(t *testing.T) {
 	if math.Abs(st.Spent-0.5*float64(done)) > 1e-9 {
 		t.Fatalf("spent %v for %d done items", st.Spent, done)
 	}
+}
+
+func anyItemRunning(job recmech.JobInfo) bool {
+	for _, it := range job.Items {
+		if it.State == "running" {
+			return true
+		}
+	}
+	return false
 }
 
 func terminalJobState(s string) bool {
